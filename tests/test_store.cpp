@@ -239,6 +239,35 @@ TEST(store_record, key_separates_specs_and_result_affecting_options) {
     EXPECT_NE(k_anytime, store::key_of(benchmarks::lr_process(), anytime_slower));
 }
 
+// Byte-pinned store keys: every record already on disk (and every daemon's
+// store shared with a batch sweep) is addressed by these strings, so a
+// refactor of how options are parsed or defaulted must leave them untouched.
+TEST(store_record, fingerprint_and_keys_are_byte_pinned) {
+    EXPECT_EQ(store::options_fingerprint(pipeline_options{}),
+              "asynth-options v3;phases=4;chan_if=1;max_states=1048576;strategy=beam;"
+              "quality=exact;deadline_ms=0;frontier=4;max_levels=128;w=0.5;csc_weight=16;"
+              "min_passes=1;keepconc=;csc_signals=4;csc_beam=4;exact=1;lib_inv=4;lib_g2=8;"
+              "lib_c=16;zero_wires=1;perf=1;recover=1;verify=0;d_in=2;d_out=1;d_int=1;"
+              "d_over=;");
+
+    const pipeline_options defaults;
+    pipeline_options w02;
+    w02.search.cost.w = 0.2;
+    pipeline_options bounded_verified;
+    bounded_verified.search.quality = search_quality::bounded;
+    bounded_verified.verify_impl = true;
+
+    const stg lr = benchmarks::lr_process();
+    EXPECT_EQ(store::key_of(lr, defaults).hex(), "c00fcfb38409f201c5af9114cba362d1");
+    EXPECT_EQ(store::key_of(lr, w02).hex(), "def5df53a86ce918ce412b185b20c2e6");
+    EXPECT_EQ(store::key_of(lr, bounded_verified).hex(), "b62cda14176bafdc17888d13d734445b");
+
+    const stg mmu = benchmarks::mmu_controller();
+    EXPECT_EQ(store::key_of(mmu, defaults).hex(), "ed83fa941a84baa71d9b961df798be5d");
+    EXPECT_EQ(store::key_of(mmu, w02).hex(), "2095b8476704f18ad3eefaeb36ae553b");
+    EXPECT_EQ(store::key_of(mmu, bounded_verified).hex(), "900c11643a50c7fd20a118da1efd1de6");
+}
+
 // ---- the store on disk ------------------------------------------------------
 
 TEST_F(store_test, miss_then_put_then_hit) {
