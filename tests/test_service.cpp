@@ -19,6 +19,7 @@
 #include "service/json.hpp"
 #include "service/server.hpp"
 #include "service/service.hpp"
+#include "util/json.hpp"
 
 using namespace asynth;
 using service::json_parse;
@@ -63,6 +64,23 @@ TEST(service_json, escaping_roundtrips_through_the_parser) {
     auto v = json_parse("{\"k\":" + out + "}");
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(v->get_string("k"), nasty);
+}
+
+TEST(service_json, every_ascii_byte_roundtrips_through_the_one_escaper) {
+    for (int c = 0; c <= 0x7f; ++c) {
+        const std::string text = "a" + std::string(1, static_cast<char>(c)) + "z";
+        std::string out;
+        json_append_escaped(out, text);  // util/json.hpp, the library's only escaper
+        auto v = json_parse("{\"k\":" + out + "}");
+        ASSERT_TRUE(v.has_value()) << "byte 0x" << std::hex << c << ": " << out;
+        EXPECT_EQ(v->get_string("k"), text) << "byte 0x" << std::hex << c;
+        // Short escapes where JSON has them; \u00XX for the other controls.
+        if (c == '\r') {
+            EXPECT_EQ(out, "\"a\\rz\"");
+        } else if (c == 0x01) {
+            EXPECT_EQ(out, "\"a\\u0001z\"");
+        }
+    }
 }
 
 TEST(service_json, json_line_builds_stable_objects) {
