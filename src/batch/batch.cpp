@@ -13,8 +13,8 @@
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "perf/timing.hpp"
 #include "petri/astg_io.hpp"
+#include "util/json.hpp"
 
 namespace asynth::batch {
 
@@ -72,27 +72,6 @@ void aggregate(batch_report& rep) {
 
 // ---- JSON ------------------------------------------------------------------
 
-void json_escape(std::string& out, const std::string& s) {
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    out += '"';
-}
-
 void json_number(std::string& out, double v) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.9g", v);
@@ -138,7 +117,7 @@ struct json_object {
         out += k;
         out += "\": ";
     }
-    void field(const char* k, const std::string& v) { key(k), json_escape(out, v); }
+    void field(const char* k, const std::string& v) { key(k), json_append_escaped(out, v); }
     void field(const char* k, double v) { key(k), json_number(out, v); }
     void field(const char* k, std::size_t v) { key(k), out += std::to_string(v); }
     void field(const char* k, bool v) { key(k), out += v ? "true" : "false"; }
@@ -234,7 +213,6 @@ batch_report run_batch(const std::vector<benchmarks::named_spec>& specs,
     // process-lifetime totals (several sweeps can share one process).
     const auto counters_before = obs::registry::global().counter_values();
 
-    stopwatch wall;
     if (!specs.empty()) {
         // done[i] tells the failure-path checkpoint which rows are safe to
         // read while other workers are still writing theirs.
@@ -248,7 +226,7 @@ batch_report run_batch(const std::vector<benchmarks::named_spec>& specs,
             for (std::size_t i = 0; i < specs.size(); ++i)
                 if (done[i].load(std::memory_order_acquire)) rows.push_back(rep.specs[i]);
             write_report_atomically(opt.checkpoint_file,
-                                    make_report(std::move(rows), jobs, wall.seconds()));
+                                    make_report(std::move(rows), jobs, sweep_sp.seconds()));
         };
 
         work_stealing_pool pool(jobs);
@@ -295,7 +273,7 @@ batch_report run_batch(const std::vector<benchmarks::named_spec>& specs,
             if (!rep.specs[i].completed) flush_checkpoint();
         });
     }
-    rep.wall_seconds = wall.seconds();
+    rep.wall_seconds = sweep_sp.seconds();
     aggregate(rep);
     rep.store_misses = opt.store.enabled() ? rep.count - rep.store_hits : 0;
     rep.counters = counter_delta(counters_before, obs::registry::global().counter_values());
@@ -351,7 +329,7 @@ std::string report_json(const batch_report& r) {
     out += ",\n  \"counters\": {";
     for (std::size_t i = 0; i < r.counters.size(); ++i) {
         out += i ? ",\n    " : "\n    ";
-        json_escape(out, r.counters[i].first);
+        json_append_escaped(out, r.counters[i].first);
         out += ": " + std::to_string(r.counters[i].second);
     }
     out += r.counters.empty() ? "}" : "\n  }";

@@ -1,12 +1,11 @@
 #include "service/service.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <cstdio>
 #include <thread>
 
 #include "obs/log.hpp"
 #include "obs/trace.hpp"
-#include "perf/timing.hpp"
 #include "petri/astg_io.hpp"
 
 namespace asynth::service {
@@ -44,72 +43,56 @@ double percentile(const std::vector<double>& sorted, double q) {
     return sorted[std::min(rank, sorted.size() - 1)];
 }
 
-/// Applies the documented per-request overrides onto @p opt.  Returns false
+/// Reads request value @p v for @p row through the table's own parser, so a
+/// request and the matching CLI flag accept exactly the same values.
+[[nodiscard]] bool option_from_json(const flow_option& row, const json_value& v,
+                                    option_value& out) {
+    if (row.kind == option_kind::flag) {
+        out.on = v.b;
+        return v.k == json_value::kind::boolean;
+    }
+    const bool number = row.kind != option_kind::choice || numeric_choice(row);
+    if (v.k != (number ? json_value::kind::number : json_value::kind::string)) return false;
+    char text[32];
+    if (number) std::snprintf(text, sizeof text, "%.17g", v.num);  // round-trips exactly
+    std::string ignored;
+    return parse_option_value(row, number ? text : v.str, out, ignored);
+}
+
+/// Applies the keyed flow options of a request onto @p opt.  Returns false
 /// and fills @p error on a bad value -- a typo must produce an error
 /// response, not a silently different synthesis.
 [[nodiscard]] bool apply_overrides(const json_value& msg, pipeline_options& opt,
                                    std::string& error) {
-    auto bad = [&](const char* what) {
-        error = what;
-        return false;
-    };
-    if (const json_value* v = msg.find("w")) {
-        if (v->k != json_value::kind::number || !(v->num >= 0.0 && v->num <= 1.0))
-            return bad("'w' must be a number in [0,1]");
-        opt.search.cost.w = v->num;
-    }
-    if (const json_value* v = msg.find("strategy")) {
-        if (v->k != json_value::kind::string) return bad("'strategy' must be a string");
-        if (v->str == "none") opt.strategy = reduction_strategy::none;
-        else if (v->str == "beam") opt.strategy = reduction_strategy::beam;
-        else if (v->str == "full") opt.strategy = reduction_strategy::full;
-        else return bad("'strategy' must be none|beam|full");
-    }
-    auto positive_int = [&](const char* key, std::size_t& out, std::size_t min_v) {
-        const json_value* v = msg.find(key);
-        if (!v) return true;
-        if (v->k != json_value::kind::number || v->num < static_cast<double>(min_v) ||
-            v->num > 1e9 || v->num != static_cast<double>(static_cast<std::size_t>(v->num))) {
-            error = std::string("'") + key + "' must be a small non-negative integer";
+    for (const flow_option& row : flow_options()) {
+        const json_value* v = row.key ? msg.find(row.key) : nullptr;
+        if (!v) continue;
+        option_value value;
+        if (!option_from_json(row, *v, value)) {
+            error = std::string("'") + row.key + "' must be " + option_expectation(row);
             return false;
         }
-        out = static_cast<std::size_t>(v->num);
-        return true;
-    };
-    if (!positive_int("frontier", opt.search.size_frontier, 1)) return false;
-    if (!positive_int("max_levels", opt.search.max_levels, 0)) return false;
-    if (!positive_int("csc_signals", opt.csc.max_signals, 0)) return false;
-    if (const json_value* v = msg.find("phases")) {
-        if (v->k != json_value::kind::number || (v->num != 2.0 && v->num != 4.0))
-            return bad("'phases' must be 2 or 4");
-        opt.expand.phases = static_cast<int>(v->num);
+        row.set(opt, value);
     }
-    if (const json_value* v = msg.find("perf")) {
-        if (v->k != json_value::kind::boolean) return bad("'perf' must be a boolean");
-        opt.run_performance = v->b;
-    }
-    if (const json_value* v = msg.find("recover")) {
-        if (v->k != json_value::kind::boolean) return bad("'recover' must be a boolean");
-        opt.recover_stg = v->b;
-    }
-    if (const json_value* v = msg.find("verify")) {
-        if (v->k != json_value::kind::boolean) return bad("'verify' must be a boolean");
-        opt.verify_impl = v->b;
-    }
-    if (const json_value* v = msg.find("quality")) {
-        if (v->k != json_value::kind::string) return bad("'quality' must be a string");
-        if (v->str == "exact") opt.search.quality = search_quality::exact;
-        else if (v->str == "bounded") opt.search.quality = search_quality::bounded;
-        else if (v->str == "anytime") opt.search.quality = search_quality::anytime;
-        else return bad("'quality' must be exact|bounded|anytime");
-    }
-    if (!positive_int("deadline_ms", opt.search.deadline_ms, 0)) return false;
-    if (opt.search.deadline_ms > 0 && opt.search.quality != search_quality::anytime)
-        return bad("'deadline_ms' requires 'quality': \"anytime\"");
-    return true;
+    error = validate(opt);
+    return error.empty();
 }
 
 }  // namespace
+
+void append_override(json_line& line, const flow_option& row, const option_value& v) {
+    switch (row.kind) {
+        case option_kind::unit: line.field(row.key, v.unit); break;
+        case option_kind::size: line.field(row.key, static_cast<std::uint64_t>(v.n)); break;
+        case option_kind::choice:
+            if (numeric_choice(row))
+                line.raw(row.key, row.choices[v.n]);
+            else
+                line.field(row.key, row.choices[v.n]);
+            break;
+        case option_kind::flag: line.field(row.key, v.on); break;
+    }
+}
 
 std::optional<request> parse_request(std::string_view line, const pipeline_options& defaults,
                                      std::string& error, std::uint64_t* failed_id) {
@@ -185,7 +168,6 @@ std::string engine::execute(const request& req, double queue_wait_ms) {
     obs::span sp("service.request", "service");
     sp.arg("queue_ms", queue_wait_ms);
     if (!req.req_id.empty()) sp.arg("req_id", req.req_id);
-    stopwatch sw;
 
     // The parse stage runs inside run_pipeline_text; for the store key the
     // text must be canonicalised first (write∘parse fixpoint), so parse once
@@ -220,7 +202,11 @@ std::string engine::execute(const request& req, double queue_wait_ms) {
         }
     }
 
-    const double service_ms = sw.seconds() * 1e3;
+    const double service_ms = sp.seconds() * 1e3;
+    const char* store_state =
+        !store_.enabled() || req.store_bypass ? "off" : (hit ? "hit" : "miss");
+    const std::string spec_label =
+        spec ? (req.spec_name.empty() ? spec->model_name : req.spec_name) : std::string();
 
     // ---- response line ----------------------------------------------------
     json_line line;
@@ -245,8 +231,7 @@ std::string engine::execute(const request& req, double queue_wait_ms) {
         line.field("literals", rec->literals);
         line.field("area", rec->area);
         line.field("cycle", rec->cycle);
-        line.field("store", !store_.enabled() || req.store_bypass ? "off"
-                                                                  : (hit ? "hit" : "miss"));
+        line.field("store", store_state);
         line.field("synth_seconds", rec->seconds);
         line.field("queue_ms", queue_wait_ms);
         line.field("service_ms", service_ms);
@@ -275,10 +260,6 @@ std::string engine::execute(const request& req, double queue_wait_ms) {
     }
 
     // ---- accounting -------------------------------------------------------
-    const std::string spec_label =
-        spec ? (req.spec_name.empty() ? spec->model_name : req.spec_name) : std::string();
-    const char* store_state =
-        !store_.enabled() || req.store_bypass ? "off" : (hit ? "hit" : "miss");
     if (spec) {
         sp.arg("spec", spec_label);
         sp.arg("store", store_state);
@@ -313,7 +294,7 @@ std::string engine::execute(const request& req, double queue_wait_ms) {
     {
         std::lock_guard<std::mutex> lock(m_);
         ++totals_.requests;
-        totals_.busy_seconds += sw.seconds();
+        totals_.busy_seconds += sp.seconds();
         if (spec && rec->completed) ++totals_.completed;
         else ++totals_.failed;
         if (store_.enabled() && spec && !req.store_bypass) {
@@ -323,8 +304,7 @@ std::string engine::execute(const request& req, double queue_wait_ms) {
         queue_wait_.offer(queue_wait_ms);
         queue_wait_max_ms_ = std::max(queue_wait_max_ms_, queue_wait_ms);
         if (rows_.size() < max_retained && spec) {
-            auto row = batch::record_of_stored(
-                req.spec_name.empty() ? spec->model_name : req.spec_name, *rec);
+            auto row = batch::record_of_stored(spec_label, *rec);
             row.store_hit = hit;
             rows_.push_back(std::move(row));
         }

@@ -31,6 +31,7 @@
 
 #include "batch/batch.hpp"
 #include "obs/metrics.hpp"
+#include "pipeline/options.hpp"
 #include "pipeline/pipeline.hpp"
 #include "service/json.hpp"
 #include "store/result_store.hpp"
@@ -75,6 +76,10 @@ struct request {
                                                    const pipeline_options& defaults,
                                                    std::string& error,
                                                    std::uint64_t* failed_id = nullptr);
+
+/// Appends the request override `row.key: v` for a keyed flow option
+/// (pipeline/options.hpp) -- the inverse of what parse_request applies.
+void append_override(json_line& line, const flow_option& row, const option_value& v);
 
 /// Running totals of one engine (all monotone; snapshot via stats()).
 struct engine_stats {
