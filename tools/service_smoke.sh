@@ -7,6 +7,13 @@
 # before and during a SIGTERM drain, then assert the daemon drains cleanly
 # (exit 0, socket removed).
 #
+# The mid-drain probes do not race the synthesis backlog: the script freezes
+# the daemon (SIGSTOP) whenever it has to wait for clients to start, and
+# orders "requests admitted, then SIGTERM" with a ping barrier, so the check
+# holds however fast synthesis gets (see the drain step below).  It uses ss
+# (iproute2) to see the frozen daemon's listen queue, or a fixed wait without
+# it.
+#
 # Usage: service_smoke.sh <asynth-binary> <workdir> [concurrency]
 #
 # The same script backs the CTest `service_smoke` target (concurrency 4) and
@@ -121,24 +128,75 @@ grep -q '^\.model' lr_recovered.g || fail "recovered STG is not ASTG text: $(hea
 
 # Graceful drain on SIGTERM with work in flight: the listen socket stays
 # open, so health keeps answering ok:true while ready flips to false until
-# the backlog finishes.  --no-store keeps the backlog slow enough to probe.
+# the backlog of eight --no-store mmu requests finishes.  No sleep may bet
+# that the backlog outlasts it (synthesis keeps getting faster):
+#   1. The daemon is frozen (SIGSTOP) while the eight requests and then a
+#      ping start, connect into its listen queue and send their lines.  A
+#      frozen daemon runs no backlog, so these waits are one-sided: a longer
+#      one only makes the check stricter.
+#   2. Thawed, the poll loop reads all the buffered lines in one iteration
+#      and looks at the signal pipe only at the top of the next, so the
+#      ping's answer is a barrier: all eight are admitted, and the SIGTERM
+#      sent after it cannot get in ahead of them.
+#   3. The ready and health probes start together on fresh connections; the
+#      backlog has to outlast one client start-up, not a sleep.
+drain_state() {  # why a probe got no answer: is the daemon or its socket gone?
+    local st i
+    st=$(ps -o stat= -p "$SERVER_PID" 2>/dev/null)
+    case "$st" in
+        '' | Z*) printf 'daemon had exited' ;;
+        T*) printf 'daemon still frozen' ;;
+        *) printf 'daemon running' ;;
+    esac
+    if [ -S "$SOCKET" ]; then printf ', socket present'; else printf ', socket gone'; fi
+    for ((i = 0; i < 8; i++)); do
+        printf '; drain_%d: %s' "$i" "$(grep -o '"queue_ms":[^,]*,"service_ms":[^,]*' \
+            "drain_$i.json" 2>/dev/null || head -c 200 "drain_$i.json")"
+    done
+}
+await_backlog() {  # wait until the frozen daemon's listen queue holds $1 connections
+    if ! command -v ss > /dev/null 2>&1; then
+        sleep 1  # no ss (iproute2): a fixed wait, generous for client start-up
+        return
+    fi
+    for _ in $(seq 1 600); do
+        [ "$(ss -xlpH 2>/dev/null | awk -v s="$SOCKET" -v p="pid=$SERVER_PID," \
+            '$5 == s && index($0, p) { print $3 }')" = "$1" ] && return
+        sleep 0.05
+    done
+    fail "frozen daemon's listen queue never held $1 connections ($(drain_state))"
+}
+kill -STOP $SERVER_PID
 DRAIN_PIDS=()
 for ((i = 0; i < 8; i++)); do
-    "$ASYNTH" client --socket "$SOCKET" --corpus mmu --no-store -q &
+    "$ASYNTH" client --socket "$SOCKET" --corpus mmu --no-store > "drain_$i.json" 2>&1 &
     DRAIN_PIDS+=($!)
 done
-sleep 0.3  # let the requests reach the daemon's queue
+await_backlog 8
+"$ASYNTH" client --socket "$SOCKET" --op ping > ping_drain.json 2>&1 &
+PING_PID=$!
+await_backlog 9
+kill -CONT $SERVER_PID
+wait $PING_PID || fail "ping barrier failed: $(cat ping_drain.json) ($(drain_state))"
 kill -TERM $SERVER_PID
-"$ASYNTH" client --socket "$SOCKET" --op ready > ready_drain.json
+"$ASYNTH" client --socket "$SOCKET" --op ready > ready_drain.json 2>&1 &
+READY_PID=$!
+"$ASYNTH" client --socket "$SOCKET" --op health > health_drain.json 2>&1 &
+HEALTH_PID=$!
+wait $READY_PID
 READY_RC=$?
-[ "$READY_RC" = "1" ] || fail "ready during drain: exit $READY_RC, want 1 ($(cat ready_drain.json))"
+wait $HEALTH_PID
+HEALTH_RC=$?
+[ "$READY_RC" = "1" ] || fail "ready during drain: exit $READY_RC, want 1 ($(cat ready_drain.json); $(drain_state))"
 grep -q '"ready":false' ready_drain.json || fail "ready not false during drain: $(cat ready_drain.json)"
 grep -q '"reason":"draining"' ready_drain.json || fail "ready lacks the drain reason: $(cat ready_drain.json)"
-"$ASYNTH" client --socket "$SOCKET" --op health > health_drain.json \
-    || fail "health stopped answering during drain: $(cat health_drain.json)"
+[ "$HEALTH_RC" = "0" ] \
+    || fail "health stopped answering during drain: $(cat health_drain.json) ($(drain_state))"
 grep -q '"ok":true' health_drain.json || fail "health not ok during drain: $(cat health_drain.json)"
 grep -q '"draining":true' health_drain.json || fail "health does not report draining: $(cat health_drain.json)"
-for p in "${DRAIN_PIDS[@]}"; do wait "$p" || fail "in-flight request failed during drain"; done
+for p in "${DRAIN_PIDS[@]}"; do
+    wait "$p" || fail "in-flight request failed during drain ($(drain_state))"
+done
 
 # Graceful drain on SIGTERM: exit code 0, socket gone, drain line logged.
 SERVER_RC=-1
