@@ -10,8 +10,8 @@
 #include <string>
 
 #include "benchmarks/corpus.hpp"
-#include "core/flow.hpp"
 #include "core/protocol.hpp"
+#include "pipeline/pipeline.hpp"
 #include "sg/analysis.hpp"
 
 namespace bench_util {
@@ -24,7 +24,7 @@ inline void print_header(const std::string& title) {
                 "inp.events");
 }
 
-inline void print_row(const std::string& name, const flow_report& r) {
+inline void print_row(const std::string& name, const pipeline_result& r) {
     if (r.synth.ok)
         std::printf("%-22s %10.0f %10zu %10.1f %12zu\n", name.c_str(), r.area(),
                     r.csc_signals(), r.cycle(), r.input_events());
@@ -47,21 +47,21 @@ inline void keep_minus_pair(search_options& so, const state_graph& g, const std:
 }
 
 /// The flow used for "keep this pair, serialise the rest" table rows.
-inline flow_report keep_pair_flow(const stg& spec, const std::string& wire_a,
-                                  const std::string& wire_b) {
+inline pipeline_result keep_pair_flow(const stg& spec, const std::string& wire_a,
+                                      const std::string& wire_b) {
     auto expanded = expand_handshakes(spec);
     auto sg = state_graph::generate(expanded).graph;
-    flow_options o;
+    pipeline_options o;
     o.strategy = reduction_strategy::full;
     o.search.cost.w = 0.2;
     keep_minus_pair(o.search, sg, wire_a, wire_b);
-    return run_flow_from_sg(std::move(sg), o);
+    return run_pipeline_from_sg(std::move(sg), o);
 }
 
 /// Beam (logic-biased) followed by greedy completion -- the configuration
 /// that finds the asymmetric PAR solution and the LR wires.
-inline flow_report chained_flow(state_graph sg,
-                                std::vector<std::pair<sg_event, sg_event>> keep = {}) {
+inline pipeline_result chained_flow(state_graph sg,
+                                    std::vector<std::pair<sg_event, sg_event>> keep = {}) {
     auto base = std::make_shared<const state_graph>(std::move(sg));
     search_options so;
     so.cost.w = 1.0;
@@ -72,10 +72,9 @@ inline flow_report chained_flow(state_graph sg,
     so2.cost.w = 0.5;
     auto full = reduce_fully(beam.best, so2);
 
-    flow_options fo;
+    pipeline_options fo;
     fo.strategy = reduction_strategy::none;
-    auto rep = run_flow_from_sg(full.best.materialize(), fo);
-    return rep;
+    return run_pipeline_from_sg(full.best.materialize(), fo);
 }
 
 }  // namespace bench_util

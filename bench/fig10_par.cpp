@@ -22,10 +22,10 @@ void print_figure() {
     std::printf("4-phase expansion: %zu states, %zu concurrent event pairs\n", sg.state_count(),
                 count_concurrent_pairs(subgraph::full(sg)));
 
-    flow_options direct;
+    pipeline_options direct;
     direct.strategy = reduction_strategy::none;
     direct.csc.max_signals = 6;
-    auto max_rep = run_flow_from_sg(sg, direct);
+    auto max_rep = run_pipeline_from_sg(sg, direct);
     print_header("PAR implementations");
     print_row("max concurrency", max_rep);
 
@@ -34,10 +34,10 @@ void print_figure() {
     auto red_rep = chained_flow(sg, keep);
     print_row("reduced (b? || c?)", red_rep);
 
-    flow_options manual;
+    pipeline_options manual;
     manual.strategy = reduction_strategy::none;
     auto man_rep =
-        run_flow_from_sg(state_graph::generate(benchmarks::par_manual()).graph, manual);
+        run_pipeline_from_sg(state_graph::generate(benchmarks::par_manual()).graph, manual);
     print_row("manual (Tangram)", man_rep);
 
     if (max_rep.synth.ok && red_rep.synth.ok && man_rep.synth.ok) {

@@ -13,9 +13,9 @@ using namespace bench_util;
 namespace {
 
 void print_equations(const char* tag, const state_graph& sg) {
-    flow_options o;
+    pipeline_options o;
     o.strategy = reduction_strategy::none;
-    auto rep = run_flow_from_sg(sg, o);
+    auto rep = run_pipeline_from_sg(sg, o);
     std::printf("%s: area %.0f, %zu CSC signal(s)\n", tag, rep.area(), rep.csc_signals());
     if (rep.synth.ok)
         for (const auto& i : rep.synth.ckt.impls) std::printf("    %s\n", i.equation.c_str());

@@ -5,8 +5,8 @@
 //   ./csp_frontend "p = a? ; b! ; a!"   # or pass your own process text
 #include <cstdio>
 
-#include "core/flow.hpp"
 #include "petri/astg_io.hpp"
+#include "pipeline/pipeline.hpp"
 #include "spec/csp.hpp"
 
 using namespace asynth;
@@ -15,24 +15,30 @@ namespace {
 
 void synthesise(const char* text) {
     std::printf("\nprocess: %s\n", text);
+    stg spec;
     try {
-        auto spec = parse_csp(text);
-        flow_options o;
-        o.strategy = reduction_strategy::beam;
-        o.search.cost.w = 0.3;
-        o.search.size_frontier = 4;
-        auto rep = run_flow(spec, o);
-        if (!rep.synth.ok) {
-            std::printf("  synthesis failed: %s\n", rep.synth.message.c_str());
-            return;
-        }
-        std::printf("  expanded to %zu states, reduced to %zu; area %.0f, cycle %.1f\n",
-                    rep.base_sg->state_count(), rep.reduced.live_state_count(), rep.area(),
-                    rep.cycle());
-        for (const auto& i : rep.synth.ckt.impls) std::printf("  %s\n", i.equation.c_str());
+        spec = parse_csp(text);
     } catch (const error& e) {
         std::printf("  error: %s\n", e.what());
+        return;
     }
+    pipeline_options o;
+    o.strategy = reduction_strategy::beam;
+    o.search.cost.w = 0.3;
+    o.search.size_frontier = 4;
+    auto rep = run_pipeline(spec, o);
+    if (!rep.completed) {
+        std::printf("  error: %s\n", rep.message.c_str());
+        return;
+    }
+    if (!rep.synth.ok) {
+        std::printf("  synthesis failed: %s\n", rep.synth.message.c_str());
+        return;
+    }
+    std::printf("  expanded to %zu states, reduced to %zu; area %.0f, cycle %.1f\n",
+                rep.base_sg->state_count(), rep.reduced.live_state_count(), rep.area(),
+                rep.cycle());
+    for (const auto& i : rep.synth.ckt.impls) std::printf("  %s\n", i.equation.c_str());
 }
 
 }  // namespace

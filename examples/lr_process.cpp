@@ -8,14 +8,14 @@
 #include <cstdio>
 
 #include "benchmarks/corpus.hpp"
-#include "core/flow.hpp"
 #include "petri/astg_io.hpp"
+#include "pipeline/pipeline.hpp"
 
 using namespace asynth;
 
 namespace {
 
-void describe(const char* tag, const flow_report& rep) {
+void describe(const char* tag, const pipeline_result& rep) {
     std::printf("\n--- %s ---\n", tag);
     std::printf("reduced SG: %zu states, %zu concurrent pairs, %zu CSC conflict pairs\n",
                 rep.reduced.live_state_count(), count_concurrent_pairs(rep.reduced),
@@ -37,27 +37,26 @@ int main() {
     std::printf("channel-level specification:\n%s", write_astg(spec).c_str());
 
     {
-        flow_options o;
+        pipeline_options o;
         o.strategy = reduction_strategy::none;
-        describe("maximum concurrency (no reshuffling)", run_flow(spec, o));
+        describe("maximum concurrency (no reshuffling)", run_pipeline(spec, o));
     }
     {
-        flow_options o;
+        pipeline_options o;
         o.strategy = reduction_strategy::beam;
         o.search.cost.w = 0.2;
         o.search.size_frontier = 6;
-        o.recover = true;
-        auto rep = run_flow(spec, o);
+        auto rep = run_pipeline(spec, o);
         describe("automatic reshuffling (beam search)", rep);
         if (rep.recovered.ok)
             std::printf("\nrecovered STG for the best reduction:\n%s",
                         write_astg(rep.recovered.net).c_str());
     }
     {
-        flow_options o;
+        pipeline_options o;
         o.strategy = reduction_strategy::none;
         describe("Q-module (hand design, for comparison)",
-                 run_flow_from_sg(state_graph::generate(benchmarks::qmodule_lr()).graph, o));
+                 run_pipeline_from_sg(state_graph::generate(benchmarks::qmodule_lr()).graph, o));
     }
     return 0;
 }

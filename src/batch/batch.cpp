@@ -70,14 +70,6 @@ void aggregate(batch_report& rep) {
     }
 }
 
-// ---- JSON ------------------------------------------------------------------
-
-void json_number(std::string& out, double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.9g", v);
-    out += buf;
-}
-
 /// Counter deltas across a sweep: for every name in @p after, its value
 /// minus the matching @p before value (0 when newly registered).  Both
 /// inputs are name-sorted (registry::counter_values()), so one merge pass.
@@ -104,24 +96,6 @@ void write_report_atomically(const std::string& path, const batch_report& rep) {
     out.close();
     if (!out || std::rename(tmp.c_str(), path.c_str()) != 0) std::remove(tmp.c_str());
 }
-
-/// Appends `"key": value` pairs with stable ordering and formatting.
-struct json_object {
-    std::string& out;
-    bool first = true;
-
-    void key(const char* k) {
-        if (!first) out += ", ";
-        first = false;
-        out += '"';
-        out += k;
-        out += "\": ";
-    }
-    void field(const char* k, const std::string& v) { key(k), json_append_escaped(out, v); }
-    void field(const char* k, double v) { key(k), json_number(out, v); }
-    void field(const char* k, std::size_t v) { key(k), out += std::to_string(v); }
-    void field(const char* k, bool v) { key(k), out += v ? "true" : "false"; }
-};
 
 }  // namespace
 
@@ -290,8 +264,8 @@ batch_report make_report(std::vector<spec_record> specs, std::size_t jobs, doubl
 }
 
 std::string report_json(const batch_report& r) {
-    std::string out = "{\n  ";
-    json_object top{out};
+    json_writer top(json_writer::spaced);
+    top.out += "\n  ";
     top.field("schema_version", std::size_t{5});
     top.field("tool", std::string("asynth batch"));
     top.field("jobs", r.jobs);
@@ -323,6 +297,7 @@ std::string report_json(const batch_report& r) {
     // schema_version 5 addition: the worst per-spec bound gap of the sweep
     // (0 for exact sweeps -- check_bench_regression.py asserts exactly that).
     top.field("max_bound_gap", r.max_bound_gap);
+    std::string out = std::move(top.out);
 
     // schema_version 4 addition: the metrics-registry counter block (sweep
     // deltas for run_batch, absolute totals for a service drain).
@@ -338,15 +313,14 @@ std::string report_json(const batch_report& r) {
     for (std::size_t i = 0; i < r.stages.size(); ++i) {
         const auto& st = r.stages[i];
         out += i ? ",\n    " : "\n    ";
-        out += "{";
-        json_object o{out};
+        json_writer o(json_writer::spaced);
         o.field("stage", st.stage);
         o.field("runs", st.runs);
         o.field("p50_ms", st.p50_ms);
         o.field("p90_ms", st.p90_ms);
         o.field("max_ms", st.max_ms);
         o.field("total_ms", st.total_ms);
-        out += "}";
+        out += std::move(o).finish();
     }
     out += r.stages.empty() ? "]" : "\n  ]";
 
@@ -354,8 +328,7 @@ std::string report_json(const batch_report& r) {
     for (std::size_t i = 0; i < r.specs.size(); ++i) {
         const auto& s = r.specs[i];
         out += i ? ",\n    " : "\n    ";
-        out += "{";
-        json_object o{out};
+        json_writer o(json_writer::spaced);
         o.field("name", s.name);
         o.field("completed", s.completed);
         o.field("synthesized", s.synthesized);
@@ -381,9 +354,9 @@ std::string report_json(const batch_report& r) {
         o.field("bound_gap", s.bound_gap);
         for (const auto& t : s.timings) {
             std::string k = std::string(stage_name(t.stage)) + "_ms";
-            o.field(k.c_str(), t.seconds * 1e3);
+            o.field(k, t.seconds * 1e3);
         }
-        out += "}";
+        out += std::move(o).finish();
     }
     out += r.specs.empty() ? "]" : "\n  ]";
     out += "\n}\n";

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "explore/analysis_cache.hpp"
+#include "explore/engine.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -29,6 +30,40 @@ const char* stage_name(pipeline_stage s) noexcept {
         case pipeline_stage::verify: return "verify";
     }
     return "?";
+}
+
+search_result run_reduction(const subgraph& initial, reduction_strategy strategy,
+                            const search_options& opt, const cost_breakdown* initial_cost) {
+    switch (strategy) {
+        case reduction_strategy::none: {
+            search_result res;
+            res.best = initial;
+            res.best_cost = initial_cost ? *initial_cost : estimate_cost(initial, opt.cost);
+            res.explored = 1;
+            return res;
+        }
+        case reduction_strategy::beam:
+            // Engine dispatch: both engines walk the same beam and return the
+            // same result; `incremental` (the default) just does less work.
+            // The non-exact qualities exist only in the incremental engine,
+            // so they override --engine: the reference engine stays the
+            // unmodified exactness oracle.  none/full ignore quality (there
+            // is no beam to bound and nothing mid-flight worth returning).
+            return opt.engine == search_engine::reference &&
+                           opt.quality == search_quality::exact
+                       ? reduce_concurrency(initial, opt)
+                       : explore::reduce_concurrency_incremental(initial, opt);
+        case reduction_strategy::full:
+            return reduce_fully(initial, opt);
+    }
+    return {};
+}
+
+delay_model wire_zero_delays(const circuit& ckt, const state_graph& g, delay_model delays) {
+    for (const auto& impl : ckt.impls)
+        if (impl.kind == impl_kind::wire || impl.kind == impl_kind::constant)
+            delays.overrides.emplace_back(g.signals()[impl.signal].name, 0.0);
+    return delays;
 }
 
 double pipeline_result::stage_seconds(pipeline_stage s) const noexcept {
@@ -115,9 +150,10 @@ void count_pipeline_run(const pipeline_result& rep, obs::span& sp) {
     }
 }
 
-/// Stages after the spec has been provided/parsed.  Fills `rep` in place.
+/// Every stage after parse, in order; expand and state-graph run only when
+/// the entry did not supply the base SG.  Fills `rep` in place.
 void continue_pipeline(pipeline_result& rep, const pipeline_options& opt) {
-    if (!run_stage(rep, pipeline_stage::expand, [&](obs::span& sp) {
+    if (!rep.base_sg && !run_stage(rep, pipeline_stage::expand, [&](obs::span& sp) {
             // Canonicalise first: write_astg emits one canonical text (sorted
             // arcs) per net, and parsing it back renumbers transitions and
             // places in that text's order.  Nets built in different
@@ -136,7 +172,7 @@ void continue_pipeline(pipeline_result& rep, const pipeline_options& opt) {
         }))
         return;
 
-    if (!run_stage(rep, pipeline_stage::state_graph, [&](obs::span& sp) {
+    if (!rep.base_sg && !run_stage(rep, pipeline_stage::state_graph, [&](obs::span& sp) {
             rep.base_sg = std::make_shared<const state_graph>(
                 state_graph::generate(rep.expanded).graph);
             sp.arg("states", static_cast<std::uint64_t>(rep.base_sg->state_count()));
@@ -247,6 +283,15 @@ pipeline_result run_pipeline(const stg& spec, const pipeline_options& opt) {
 }
 
 pipeline_result run_pipeline(const stg& spec) { return run_pipeline(spec, pipeline_options{}); }
+
+pipeline_result run_pipeline_from_sg(state_graph sg, const pipeline_options& opt) {
+    obs::span sp("pipeline", "pipeline");
+    pipeline_result rep;
+    rep.base_sg = std::make_shared<const state_graph>(std::move(sg));
+    continue_pipeline(rep, opt);
+    count_pipeline_run(rep, sp);
+    return rep;
+}
 
 pipeline_result run_pipeline_text(std::string_view astg_text, const pipeline_options& opt) {
     obs::span sp("pipeline", "pipeline");

@@ -1,6 +1,6 @@
-// End-to-end synthesis pipeline: one documented entry point that chains every
-// layer of the library into the paper's Fig. 4 flow and reports what happened
-// at each stage:
+// End-to-end synthesis pipeline: the one driver of the paper's Fig. 4 flow.
+// It chains every layer of the library and reports what happened at each
+// stage:
 //
 //   parse   astg text -> stg                       (petri/astg_io)
 //   expand  handshake expansion                    (core/expand)
@@ -13,11 +13,17 @@
 //   emit    netlist backends (Verilog + C model)   (netlist/backend)
 //   verify  implementation-vs-SG emulation         (netlist/emulate)
 //
-// Unlike core/flow (which the benches drive and which aborts by exception),
-// the pipeline never throws: every stage runs under a trace span that times
+// run_pipeline_text() starts at parse, run_pipeline() at expand, and
+// run_pipeline_from_sg() at reduce, for an already complete state graph
+// (hand designs such as the Q-module).  All three share one stage list.
+// Wire-implemented outputs get zero delay in the timing model -- a wire has
+// no gate -- which is what makes the fully reduced LR process cost
+// 4 input events * 2 = 8 time units, as in Table 1.
+//
+// The pipeline never throws: every stage runs under a trace span that times
 // it and converts asynth::error into a structured (failed stage, diagnostic)
-// pair in the result, so callers -- the asynth CLI, tests, future services --
-// can report failures without a try/catch of their own.
+// pair in the result, so callers -- the asynth CLI, the benches, the service
+// -- can report failures without a try/catch of their own.
 //
 // Thread safety: run_pipeline is a pure function of (spec, options) -- in
 // fact of (write_astg(spec), options): the expand stage canonicalises the
@@ -25,10 +31,13 @@
 // different construction orders (and hence with different internal
 // transition/place numbering) yield bit-identical results whenever their
 // canonical texts match.  That equivalence is what makes the result store's
-// content addressing (store/result_store.hpp) sound.  The batch engine
-// (batch/batch.hpp) runs many calls concurrently on a thread pool.  Each result owns its artefacts (the base SG rides behind a
-// shared_ptr so `reduced` stays valid across moves); share a result across
-// threads only for reading.
+// content addressing (store/result_store.hpp) sound.  No stage keeps global
+// or function-local mutable state (the BDD engine keeps its caches inside
+// per-call bdd_manager instances), so concurrent calls on distinct inputs
+// are safe; the batch engine (batch/batch.hpp) runs many on a thread pool.
+// Each result owns its artefacts (the base SG rides behind a shared_ptr so
+// `reduced` stays valid across moves); share a result across threads only
+// for reading.
 #pragma once
 
 #include <memory>
@@ -39,7 +48,6 @@
 
 #include "core/cost.hpp"
 #include "core/expand.hpp"
-#include "core/flow.hpp"
 #include "core/search.hpp"
 #include "csc/csc.hpp"
 #include "logic/synthesis.hpp"
@@ -51,6 +59,25 @@
 #include "sg/state_graph.hpp"
 
 namespace asynth {
+
+/// Step-3 engine of the flow.
+enum class reduction_strategy : uint8_t {
+    none,  ///< keep maximal concurrency
+    beam,  ///< Fig. 9 exploration
+    full,  ///< greedy reduction to minimal concurrency
+};
+
+/// Step-3 engine dispatch: applies the configured reduction strategy to
+/// @p initial.  For `none` the result wraps the input unchanged (explored=1),
+/// reusing @p initial_cost when the caller already evaluated it.
+[[nodiscard]] search_result run_reduction(const subgraph& initial, reduction_strategy strategy,
+                                          const search_options& opt,
+                                          const cost_breakdown* initial_cost = nullptr);
+
+/// Returns @p delays extended with zero-delay overrides for every wire- or
+/// constant-implemented signal of @p ckt (a wire has no gate).
+[[nodiscard]] delay_model wire_zero_delays(const circuit& ckt, const state_graph& g,
+                                           delay_model delays);
 
 /// The stages of the end-to-end flow, in execution order.
 enum class pipeline_stage : uint8_t {
@@ -139,6 +166,10 @@ struct pipeline_result {
     [[nodiscard]] double area() const { return synth.ok ? synth.ckt.total_area : -1.0; }
     /// Critical cycle length in model time units (0 when perf did not run).
     [[nodiscard]] double cycle() const { return perf.cycle_time; }
+    /// State signals the csc stage inserted.
+    [[nodiscard]] std::size_t csc_signals() const { return csc.signals_inserted; }
+    /// Input events on the critical cycle.
+    [[nodiscard]] std::size_t input_events() const { return perf.input_events_on_cycle; }
     /// Wall-clock seconds spent in @p s (0 when the stage did not run).
     [[nodiscard]] double stage_seconds(pipeline_stage s) const noexcept;
 };
@@ -150,6 +181,11 @@ struct pipeline_result {
 /// Runs the flow from astg (.g) text, starting with the parse stage.
 [[nodiscard]] pipeline_result run_pipeline_text(std::string_view astg_text,
                                                 const pipeline_options& opt);
+
+/// Runs the flow from an already generated state graph, starting with the
+/// reduce stage (`spec` and `expanded` stay empty, so the search gets no
+/// Keep_Conc pairs beyond opt.search.keep_concurrent).
+[[nodiscard]] pipeline_result run_pipeline_from_sg(state_graph sg, const pipeline_options& opt);
 
 /// Human-readable multi-line report: per-stage wall-clock timings, state/arc
 /// counts, cost trajectory, inserted CSC signals, area, equations and the

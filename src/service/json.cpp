@@ -1,7 +1,6 @@
 #include "service/json.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 
 namespace asynth::service {
@@ -210,13 +209,6 @@ std::optional<json_value> json_parse(std::string_view text) {
     p.skip_ws();
     if (p.pos != text.size()) return std::nullopt;  // trailing garbage
     return out;
-}
-
-void json_line::field(std::string_view k, double v) {
-    key(k);
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.9g", v);
-    out += buf;
 }
 
 }  // namespace asynth::service

@@ -1,5 +1,5 @@
-// Minimal JSON reader/writer for the synthesis service's line-delimited
-// protocol (docs/SERVICE.md).
+// Minimal JSON reader for the synthesis service's line-delimited protocol
+// (docs/SERVICE.md); responses are written with util/json.hpp's json_writer.
 //
 // The service cannot assume anything about bytes arriving on its socket, so
 // json_parse() is written defensively: it never throws, it bounds recursion
@@ -10,8 +10,8 @@
 // comments or NaN/Infinity dialect, because the protocol needs none of them.
 //
 // This is a service-layer utility, not a general serialisation framework:
-// the batch report writer keeps its own schema-stable emitter, and records
-// in the result store use their own checksummed format (store/record.hpp).
+// records in the result store use their own checksummed format
+// (store/record.hpp).
 #pragma once
 
 #include <cstdint>
@@ -55,28 +55,5 @@ struct json_value {
 /// The library's one JSON string escaper (util/json.hpp), under the name
 /// protocol code has always used.
 using asynth::json_append_escaped;
-
-/// Incremental writer for one-line JSON objects: fixed field order, no
-/// indentation -- the shape every protocol response uses.
-struct json_line {
-    std::string out = "{";
-    bool first = true;
-
-    void key(std::string_view k) {
-        if (!first) out += ",";
-        first = false;
-        json_append_escaped(out, k);
-        out += ":";
-    }
-    void field(std::string_view k, std::string_view v) { key(k), json_append_escaped(out, v); }
-    void field(std::string_view k, const char* v) { field(k, std::string_view(v)); }
-    void field(std::string_view k, double v);
-    void field(std::string_view k, std::uint64_t v) { key(k), out += std::to_string(v); }
-    void field(std::string_view k, bool v) { key(k), out += v ? "true" : "false"; }
-    /// Appends pre-serialised JSON (e.g. a nested array) verbatim.
-    void raw(std::string_view k, std::string_view json) { key(k), out += json; }
-
-    [[nodiscard]] std::string finish() && { return std::move(out) + "}"; }
-};
 
 }  // namespace asynth::service

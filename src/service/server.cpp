@@ -103,7 +103,7 @@ void send_line(connection& conn, std::string line) {
 
 std::string error_line(std::uint64_t id, const std::string& what,
                        const std::string& req_id = {}) {
-    json_line line;
+    json_writer line;
     line.field("op", "error");
     if (id != 0) line.field("id", id);
     if (!req_id.empty()) line.field("req_id", req_id);
@@ -291,13 +291,13 @@ int run_server(const server_options& opt) {
         }
         // Inline ops answer from the poll thread: they never queue, so they
         // stay responsive while every worker is busy (or while draining).
-        auto id_fields = [&](json_line& line, const char* op) {
+        auto id_fields = [&](json_writer& line, const char* op) {
             line.field("op", op);
             if (req->id != 0) line.field("id", req->id);
             if (!req->req_id.empty()) line.field("req_id", req->req_id);
         };
         if (req->op == "ping") {
-            json_line line;
+            json_writer line;
             id_fields(line, "ping");
             line.field("ok", true);
             line.field("draining", draining);
@@ -310,7 +310,7 @@ int run_server(const server_options& opt) {
         if (req->op == "health") {
             // Liveness: "the process is up and answering".  Always ok:true --
             // a dead daemon answers nothing, which is the failure signal.
-            json_line line;
+            json_writer line;
             id_fields(line, "health");
             line.field("ok", true);
             line.field("uptime_s", ms_since(t_start) / 1e3);
@@ -322,14 +322,13 @@ int run_server(const server_options& opt) {
         }
         if (req->op == "ready") {
             // Readiness: "send me traffic".  ok mirrors ready, so a probe can
-            // use the client's exit code directly (0 = ready, 1 = not).
-            std::size_t depth;
-            {
-                std::lock_guard<std::mutex> lock(queue_m);
-                depth = queue.size();
-            }
+            // use the client's exit code directly (0 = ready, 1 = not).  The
+            // depth is every admitted, unanswered request: the dispatcher
+            // empties the queue into one pool batch, so queue.size() would
+            // read 0 under a full batch of work.
+            const std::size_t depth = in_flight.load(std::memory_order_acquire);
             const char* reason = draining ? "draining" : depth >= high_water ? "queue" : "";
-            json_line line;
+            json_writer line;
             id_fields(line, "ready");
             line.field("ok", *reason == '\0');
             line.field("ready", *reason == '\0');
@@ -346,7 +345,7 @@ int run_server(const server_options& opt) {
         if (req->op == "metrics") {
             // Prometheus text exposition rides inside the line protocol as an
             // escaped "text" field; `asynth client --op metrics` unwraps it.
-            json_line line;
+            json_writer line;
             id_fields(line, "metrics");
             line.field("ok", true);
             line.field("text", engine::metrics_text());
@@ -354,7 +353,7 @@ int run_server(const server_options& opt) {
             return;
         }
         if (req->op == "shutdown") {
-            json_line line;
+            json_writer line;
             id_fields(line, "shutdown");
             line.field("ok", true);
             send_line(*conn, std::move(line).finish());

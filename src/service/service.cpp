@@ -80,7 +80,7 @@ double percentile(const std::vector<double>& sorted, double q) {
 
 }  // namespace
 
-void append_override(json_line& line, const flow_option& row, const option_value& v) {
+void append_override(json_writer& line, const flow_option& row, const option_value& v) {
     switch (row.kind) {
         case option_kind::unit: line.field(row.key, v.unit); break;
         case option_kind::size: line.field(row.key, static_cast<std::uint64_t>(v.n)); break;
@@ -209,7 +209,7 @@ std::string engine::execute(const request& req, double queue_wait_ms) {
         spec ? (req.spec_name.empty() ? spec->model_name : req.spec_name) : std::string();
 
     // ---- response line ----------------------------------------------------
-    json_line line;
+    json_writer line;
     line.field("op", "synth");
     if (req.id != 0) line.field("id", req.id);
     if (!req.req_id.empty()) line.field("req_id", req.req_id);
@@ -335,7 +335,7 @@ std::string engine::metrics_text() { return obs::registry::global().prometheus_t
 std::string engine::stats_line(bool include_recent_log) const {
     const engine_stats s = stats();
     const store::store_stats ss = store_.stats();
-    json_line line;
+    json_writer line;
     line.field("op", "stats");
     line.field("ok", true);
     line.field("requests", s.requests);

@@ -79,7 +79,7 @@ struct request {
 
 /// Appends the request override `row.key: v` for a keyed flow option
 /// (pipeline/options.hpp) -- the inverse of what parse_request applies.
-void append_override(json_line& line, const flow_option& row, const option_value& v);
+void append_override(json_writer& line, const flow_option& row, const option_value& v);
 
 /// Running totals of one engine (all monotone; snapshot via stats()).
 struct engine_stats {

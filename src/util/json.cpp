@@ -26,4 +26,18 @@ void json_append_escaped(std::string& out, std::string_view s) {
     out += '"';
 }
 
+void json_writer::key(std::string_view k) {
+    if (!first) out += sep.comma;
+    first = false;
+    json_append_escaped(out, k);
+    out += sep.colon;
+}
+
+void json_writer::field(std::string_view k, double v) {
+    key(k);
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.9g", v);
+    out += buf;
+}
+
 }  // namespace asynth

@@ -151,7 +151,7 @@ TEST(flow_options, client_overrides_roundtrip_through_the_service) {
             if (text) {
                 ASSERT_TRUE(parse_option_value(row, text, v, err)) << err;
             }
-            service::json_line line;
+            json_writer line;
             line.field("spec", ".model m\n.end\n");
             service::append_override(line, row, v);
             // A deadline is only valid under anytime quality.

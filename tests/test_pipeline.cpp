@@ -1,12 +1,13 @@
 // End-to-end pipeline integration: the Fig. 1 and MMU corpus entries through
 // the full parse -> expand -> sg -> reduce -> csc -> logic -> perf -> recover
-// flow, with cost monotonicity, per-stage timing bookkeeping and structured
-// error reporting.
+// flow, with cost monotonicity, per-stage timing bookkeeping, structured
+// error reporting and the state-graph entry's agreement with the spec entry.
 #include <gtest/gtest.h>
 
 #include "benchmarks/corpus.hpp"
 #include "petri/astg_io.hpp"
 #include "pipeline/pipeline.hpp"
+#include "util/error.hpp"
 
 using namespace asynth;
 
@@ -23,6 +24,12 @@ void check_timings(const pipeline_result& r, const std::vector<pipeline_stage>& 
         sum += r.timings[i].seconds;
     }
     EXPECT_DOUBLE_EQ(r.total_seconds, sum);
+}
+
+std::vector<std::string> equations(const pipeline_result& r) {
+    std::vector<std::string> out;
+    for (const auto& impl : r.synth.ckt.impls) out.push_back(impl.equation);
+    return out;
 }
 
 }  // namespace
@@ -162,4 +169,49 @@ TEST(pipeline, summary_mentions_stages_and_outcome) {
     auto bad = run_pipeline_text("garbage", pipeline_options{});
     auto sbad = pipeline_summary(bad);
     EXPECT_NE(sbad.find("FAILED"), std::string::npos);
+}
+
+TEST(pipeline, sg_entry_matches_the_spec_entry) {
+    // From reduce on, both entries run one stage list: fed the state graph
+    // the spec entry builds (the expansion of the canonical spec), the SG
+    // entry must reach the same circuit (or, for the unreduced MMU under
+    // the default CSC budget, the same unsolved verdict).
+    const std::pair<const char*, stg> specs[] = {{"lr", benchmarks::lr_process()},
+                                                 {"mmu", benchmarks::mmu_controller()},
+                                                 {"par", benchmarks::par_component()}};
+    for (const auto& [name, spec] : specs) {
+        const stg canonical = parse_astg(write_astg(spec));
+        for (auto strategy : {reduction_strategy::none, reduction_strategy::beam}) {
+            pipeline_options opt;
+            opt.strategy = strategy;
+            const auto from_spec = run_pipeline(spec, opt);
+            const auto from_sg = run_pipeline_from_sg(
+                state_graph::generate(expand_handshakes(canonical)).graph, opt);
+            ASSERT_TRUE(from_spec.completed) << name << ": " << from_spec.message;
+            ASSERT_TRUE(from_sg.completed) << name << ": " << from_sg.message;
+            EXPECT_EQ(from_sg.timings.front().stage, pipeline_stage::reduce) << name;
+            EXPECT_EQ(from_sg.area(), from_spec.area()) << name;
+            EXPECT_EQ(from_sg.csc_signals(), from_spec.csc_signals()) << name;
+            EXPECT_DOUBLE_EQ(from_sg.cycle(), from_spec.cycle()) << name;
+            EXPECT_EQ(equations(from_sg), equations(from_spec)) << name;
+        }
+    }
+}
+
+TEST(pipeline, sg_entry_failure_is_structured) {
+    // A stage error on the SG path comes back as (failed stage, message),
+    // never as an exception.  A throwing warm-start source stands in for
+    // any error inside the logic stage.
+    pipeline_options opt;
+    opt.synth.warm_cover = [](const sop_spec&) -> std::shared_ptr<const cover> {
+        throw error("injected warm-start failure");
+    };
+    pipeline_result r;
+    ASSERT_NO_THROW(
+        r = run_pipeline_from_sg(state_graph::generate(benchmarks::qmodule_lr()).graph, opt));
+    EXPECT_FALSE(r.completed);
+    ASSERT_TRUE(r.failed.has_value());
+    EXPECT_EQ(*r.failed, pipeline_stage::logic);
+    EXPECT_NE(r.message.find("logic: injected warm-start failure"), std::string::npos);
+    check_timings(r, {pipeline_stage::reduce, pipeline_stage::csc, pipeline_stage::logic});
 }

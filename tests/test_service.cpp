@@ -84,7 +84,7 @@ TEST(service_json, every_ascii_byte_roundtrips_through_the_one_escaper) {
 }
 
 TEST(service_json, json_line_builds_stable_objects) {
-    service::json_line line;
+    json_writer line;
     line.field("op", "stats");
     line.field("ok", true);
     line.field("n", std::uint64_t{42});
@@ -345,7 +345,7 @@ TEST(service_server, serves_concurrent_clients_and_drains_on_shutdown) {
     cl.socket_path = socket_path;
 
     auto request_line = [&](const stg& net) {
-        service::json_line line;
+        json_writer line;
         line.field("op", "synth");
         line.field("spec", write_astg(net));
         line.field("name", net.model_name);
@@ -557,7 +557,7 @@ TEST(service_server, health_ready_and_req_id_echo_over_the_socket) {
     }
     {
         // A synth request's req_id comes back on its response.
-        service::json_line line;
+        json_writer line;
         line.field("op", "synth");
         line.field("req_id", "probe-s1");
         line.field("spec", write_astg(benchmarks::lr_process()));

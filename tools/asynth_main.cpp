@@ -672,7 +672,7 @@ int run_client_cli(int argc, char** argv) {
     // an explicit --req-id.
     if (req_id.empty() && op == "synth") req_id = generate_req_id();
 
-    service::json_line line;
+    json_writer line;
     line.field("op", op);
     if (id != 0) line.field("id", static_cast<std::uint64_t>(id));
     if (!req_id.empty()) line.field("req_id", req_id);

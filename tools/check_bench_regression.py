@@ -6,14 +6,12 @@ BENCH_pipeline.json (checked in at the repo root) and a freshly generated
 report, over the *intersection* of spec names (the baseline sweeps more specs
 than the CI smoke run).  Repeat --stage to guard several stages in one run
 (the nightly workflow watches `reduce` and `logic`); the exit code reports
-the worst verdict across them.  Report schema_versions 1 through 5 are all
-accepted (v2 adds store/queue aggregates, v3 the impl-verification fields and
-emit/verify stage timings, v4 the metrics-registry "counters" block, v5 the
-search-quality label and bound gap, all above or beside the specs[] layout
-this reads).  A v4+ report missing its counters block is rejected: that key
-is part of the schema contract.  So is a v5 report whose exact-mode rows
-carry a nonzero bound gap -- exact search declares no gap by definition, and
-a gap there means the producing run was not what the sweep claims.
+the worst verdict across them.  Only the current report schema (version 5,
+docs/CLI.md) is accepted; regenerate an older baseline instead of reading
+it.  A report missing its counters block is rejected: that key is part of
+the schema contract.  So is a report whose exact-mode rows carry a nonzero
+bound gap -- exact search declares no gap by definition, and a gap there
+means the producing run was not what the sweep claims.
 Do NOT feed it a store-warmed report: a hit's timings describe the producing
 run, not this machine.
 
@@ -47,12 +45,7 @@ def die(message):
     sys.exit(2)
 
 
-SUPPORTED_SCHEMAS = (1, 2, 3, 4, 5)  # v2 adds store hit/miss + queue-wait
-                                     # aggregates, v3 impl-verification fields
-                                     # and emit/verify stage timings, v4 the
-                                     # counters block, v5 the quality label +
-                                     # bound gap; the per-spec layout this
-                                     # tool reads is shared.
+SCHEMA_VERSION = 5  # the report schema batch/batch.cpp writes
 
 
 def load_specs(path):
@@ -61,27 +54,25 @@ def load_specs(path):
             report = json.load(f)
     except (OSError, ValueError) as e:
         die(f"error: cannot read {path}: {e}")
-    if report.get("schema_version") not in SUPPORTED_SCHEMAS:
+    if report.get("schema_version") != SCHEMA_VERSION:
         die(f"error: {path} has schema_version {report.get('schema_version')!r} "
-            f"(supported: {SUPPORTED_SCHEMAS})")
-    if report.get("schema_version") >= 4:
-        counters = report.get("counters")
-        if not isinstance(counters, dict):
-            die(f"error: {path} is schema_version >= 4 but has no counters object")
-        bad = [k for k, v in counters.items() if not isinstance(v, int) or v < 0]
-        if bad:
-            die(f"error: {path} counters carry non-count values: {bad}")
+            f"(supported: {SCHEMA_VERSION}); regenerate it with asynth batch --report")
+    counters = report.get("counters")
+    if not isinstance(counters, dict):
+        die(f"error: {path} has no counters object")
+    bad = [k for k, v in counters.items() if not isinstance(v, int) or v < 0]
+    if bad:
+        die(f"error: {path} counters carry non-count values: {bad}")
     specs = report.get("specs")
     if not isinstance(specs, list) or not specs:
         die(f"error: {path} has no specs[]")
-    if report.get("schema_version") >= 5:
-        # Exact search declares no gap by definition; a nonzero gap on an
-        # exact row means the report does not describe an exact sweep and
-        # its timings cannot gate exact-mode budgets.
-        lying = [s.get("name") for s in specs
-                 if s.get("quality", "exact") == "exact" and s.get("bound_gap", 0)]
-        if lying:
-            die(f"error: {path} has exact-mode specs with nonzero bound_gap: {lying}")
+    # Exact search declares no gap by definition; a nonzero gap on an exact
+    # row means the report does not describe an exact sweep and its timings
+    # cannot gate exact-mode budgets.
+    lying = [s.get("name") for s in specs
+             if s.get("quality", "exact") == "exact" and s.get("bound_gap", 0)]
+    if lying:
+        die(f"error: {path} has exact-mode specs with nonzero bound_gap: {lying}")
     return {s["name"]: s for s in specs if "name" in s}
 
 

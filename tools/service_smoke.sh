@@ -138,8 +138,11 @@ grep -q '^\.model' lr_recovered.g || fail "recovered STG is not ASTG text: $(hea
 #      and looks at the signal pipe only at the top of the next, so the
 #      ping's answer is a barrier: all eight are admitted, and the SIGTERM
 #      sent after it cannot get in ahead of them.
-#   3. The ready and health probes start together on fresh connections; the
-#      backlog has to outlast one client start-up, not a sleep.
+#   3. A ready probe starts right after the barrier and must count the
+#      admitted backlog in queue_depth (queued or running, answered or not
+#      by the time SIGTERM lands).  Then the drain-time ready and health
+#      probes start together on fresh connections.  The backlog has to
+#      outlast client start-ups, not a sleep.
 drain_state() {  # why a probe got no answer: is the daemon or its socket gone?
     local st i
     st=$(ps -o stat= -p "$SERVER_PID" 2>/dev/null)
@@ -178,6 +181,8 @@ PING_PID=$!
 await_backlog 9
 kill -CONT $SERVER_PID
 wait $PING_PID || fail "ping barrier failed: $(cat ping_drain.json) ($(drain_state))"
+"$ASYNTH" client --socket "$SOCKET" --op ready > ready_backlog.json 2>&1 &
+READY_BACKLOG_PID=$!
 kill -TERM $SERVER_PID
 "$ASYNTH" client --socket "$SOCKET" --op ready > ready_drain.json 2>&1 &
 READY_PID=$!
@@ -194,6 +199,10 @@ grep -q '"reason":"draining"' ready_drain.json || fail "ready lacks the drain re
     || fail "health stopped answering during drain: $(cat health_drain.json) ($(drain_state))"
 grep -q '"ok":true' health_drain.json || fail "health not ok during drain: $(cat health_drain.json)"
 grep -q '"draining":true' health_drain.json || fail "health does not report draining: $(cat health_drain.json)"
+wait $READY_BACKLOG_PID
+depth=$(grep -o '"queue_depth":[0-9]*' ready_backlog.json | cut -d: -f2)
+[ "${depth:-0}" -ge 1 ] \
+    || fail "ready under the backlog of eight reports no queue depth: $(cat ready_backlog.json)"
 for p in "${DRAIN_PIDS[@]}"; do
     wait "$p" || fail "in-flight request failed during drain ($(drain_state))"
 done
